@@ -5,25 +5,43 @@ not earlier ones have finished.  Each request is ``POST /v1/jobs`` followed
 by ``GET /v1/jobs/{id}/result?wait=`` on one connection slot; at most
 ``CONNECTIONS`` slots are in use, and a due request that waits for a free
 slot is charged that wait, because its latency counts from its due time.
+
+Latencies are calibrated against reference slices that the load generator
+runs while the fleet is idle (see ``calibrate.py``).  The arrival schedule
+and ``jobs_per_s`` are in wall seconds: stretching the schedule by the
+slices' speed was tried and made the load swing far more, because the
+worker's speed follows the slices' only roughly.
 """
 
 from __future__ import annotations
 
 import asyncio
+import bisect
+import contextlib
+import faulthandler
 import json
+import os
 import random
+import signal
+import statistics
+import sys
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import inputs
+from calibrate import reference_slice, scale
 from measure import Job, check_result, latency_metrics, vm_hwm_mb
 from tracing import Tracer
 
-#: Offered load in requests per second: about two thirds of the closed-loop
+#: Offered load in requests per second: about half of the closed-loop
 #: capacity of this mix on a one-worker fleet at the commit that added the
-#: benchmark.  It stays constant so that runs of later commits offer the
-#: same load.
-RATE = 3.2
+#: benchmark.  At two thirds of it the host's speed swings pushed the
+#: worker's load from about 0.5 to 0.9 and back, and job_tail_s measured
+#: how often requests queued (its spread over ten seeds reached 20%); at
+#: half, the tail measures the service path.  It stays constant so that
+#: runs of later commits offer the same load.
+RATE = 2.4
 #: One request in every HOT_EVERY repeats a circuit of the small hot set;
 #: which one of the block is seeded.  A fixed share (not a coin flip per
 #: request) keeps the fast cached requests from shifting the median.
@@ -36,6 +54,21 @@ CONNECTIONS = 2
 RESULT_WAIT = 60
 #: Retries of a request that failed in transport before it counts as failed.
 RETRIES = 2
+#: Calibration (see ``calibrate.py``): units per slice.  A slice runs only
+#: when every due request has started and none is in flight, the last one
+#: ended SETTLE_S ago and the next is due IDLE_GAP_S or later.  Each job's
+#: latency is scaled by the median of the slices within WINDOW_S of it.
+SLICE_UNITS = 20
+SETTLE_S = 0.01
+IDLE_GAP_S = 0.1
+WINDOW_S = 1.5
+#: Seconds a run may take beyond its window (a set-up probe: in all)
+#: before it is taken as hung: its workers are killed and it exits 1.
+HANG_S = 60
+
+#: Supervisors started by this process and its event loop, for the watchdog.
+_started: List[Any] = []
+_loop: Dict[str, asyncio.AbstractEventLoop] = {}
 
 
 def _schedule(seed: int, seconds: float):
@@ -128,10 +161,44 @@ def _worker_totals(stats: Dict[str, Any]) -> Dict[str, float]:
     return totals
 
 
+def _watchdog(limit: float) -> threading.Timer:
+    """Kill this process's workers and exit 1 if it still runs after *limit* s.
+
+    A hung fleet must not outlive the benchmark, and the stacks it prints
+    show where it hung.
+    """
+    def fire() -> None:
+        print(f"perfbench: http_mixed still running after {limit:.0f} s; "
+              "killing its fleet", file=sys.stderr, flush=True)
+        faulthandler.dump_traceback(file=sys.stderr)
+        with contextlib.suppress(Exception):
+            for task in asyncio.all_tasks(_loop["loop"]):
+                task.print_stack(limit=8, file=sys.stderr)
+        for supervisor in _started:
+            for handle in supervisor.workers:
+                process = handle.process
+                if process is None or process.returncode is not None:
+                    continue
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(process.pid, signal.SIGKILL)
+                gone = time.monotonic() + 5
+                while os.path.exists(f"/proc/{process.pid}") and time.monotonic() < gone:
+                    time.sleep(0.05)
+        sys.stderr.flush()
+        os._exit(1)
+
+    timer = threading.Timer(limit, fire)
+    timer.daemon = True
+    timer.start()
+    return timer
+
+
 async def _fleet(store_dir: str):
     from repro.server.supervisor import Supervisor
 
+    _loop["loop"] = asyncio.get_running_loop()
     supervisor = Supervisor(workers=1, engine="dp", cache_dir=store_dir)
+    _started.append(supervisor)
     await supervisor.start()
     client = Client(supervisor.port)
     try:
@@ -148,11 +215,15 @@ async def _fleet(store_dir: str):
 
 async def probe_setup(store_dir: str, ready) -> None:
     """Boot a fleet to healthy plus one warm-up job, report ready, stop it."""
-    supervisor, _client = await _fleet(store_dir)
+    watchdog = _watchdog(HANG_S)
     try:
-        ready()
+        supervisor, _client = await _fleet(store_dir)
+        try:
+            ready()
+        finally:
+            await supervisor.stop()
     finally:
-        await supervisor.stop()
+        watchdog.cancel()
 
 
 async def _run(seed: int, seconds: float, store_dir: str,
@@ -169,10 +240,16 @@ async def _run(seed: int, seconds: float, store_dir: str,
         before = _worker_totals(await client.stats())
         slots = asyncio.Semaphore(CONNECTIONS)
         start = time.perf_counter() + 0.05
+        dues = [start + due for due, _pool, _seed in schedule]
+        # Requests started and not yet answered, and when the last answer came.
+        busy = {"woken": 0, "jobs": 0, "since": start}
+        slices: List[Tuple[float, float]] = []
 
         async def one(index: int, due: float, pool: str, seed_: int) -> Job:
             await asyncio.sleep(max(0.0, start + due - time.perf_counter()))
             woke = time.perf_counter()
+            busy["woken"] += 1
+            busy["jobs"] += 1
             job = Job(index, seed_, pool, start + due, woke)
             job.extra["late_s"] = woke - job.start
             async with slots:
@@ -183,21 +260,55 @@ async def _run(seed: int, seconds: float, store_dir: str,
                     job.error = f"{type(failure).__name__}: {failure}"
                     payload, submit_s = None, 0.0
                 job.end = time.perf_counter()
+            busy["jobs"] -= 1
+            busy["since"] = job.end
             job.result = payload
             job.extra.update(conn_wait_s=sent - woke, sent=sent,
                              submit_s=submit_s)
             return job
 
-        jobs: List[Job] = await asyncio.gather(*(
-            one(i, due, pool, s) for i, (due, pool, s) in enumerate(schedule)
-        ))
+        async def calibrate() -> None:
+            # Reference slices only while the fleet is idle, so that they
+            # neither compete with the worker nor delay a due request.
+            while True:
+                now = time.perf_counter()
+                following = bisect.bisect_right(dues, now)
+                if following == len(dues):
+                    return
+                if (busy["jobs"] == 0 and busy["woken"] == following
+                        and now - busy["since"] > SETTLE_S
+                        and dues[following] - now > IDLE_GAP_S):
+                    slices.append((now, reference_slice(SLICE_UNITS)))
+                await asyncio.sleep(0.005)
+
+        jobs: List[Job]
+        jobs, _ = await asyncio.gather(
+            asyncio.gather(*(one(i, due, pool, s)
+                             for i, (due, pool, s) in enumerate(schedule))),
+            calibrate(),
+        )
         wall = max(job.end for job in jobs) - start
+        _calibrate(jobs, slices)
         after = _worker_totals(await client.stats())
         peak_rss = vm_hwm_mb(str(supervisor.workers[0].pid))
     finally:
         await supervisor.stop()
-    return _finish(jobs, wall, peak_rss, before, after, client.retries,
-                   circuits, expected, tracer)
+    report = _finish(jobs, wall, peak_rss, before, after, client.retries,
+                     circuits, expected, tracer)
+    report["slices"] = slices
+    return report
+
+
+def _calibrate(jobs: List[Job], slices: List[Tuple[float, float]]) -> None:
+    """Scale each job by the median of the slices within ``WINDOW_S`` of it."""
+    if not slices:
+        raise RuntimeError("the fleet was never idle long enough to calibrate")
+    overall = statistics.median(d for _t, d in slices)
+    for job in jobs:
+        near = [d for t, d in slices
+                if job.start - WINDOW_S <= t <= job.end + WINDOW_S]
+        reference = statistics.median(near) if near else overall
+        job.scale = scale(reference, reference, SLICE_UNITS)
 
 
 def _finish(jobs, wall, peak_rss, before, after, retries, circuits, expected,
@@ -267,4 +378,8 @@ def _finish(jobs, wall, peak_rss, before, after, retries, circuits, expected,
 
 def run(seed: int, seconds: float, store_dir: str,
         tracer: Optional[Tracer]) -> Dict[str, Any]:
-    return asyncio.run(_run(seed, seconds, store_dir, tracer))
+    watchdog = _watchdog(seconds + HANG_S)
+    try:
+        return asyncio.run(_run(seed, seconds, store_dir, tracer))
+    finally:
+        watchdog.cancel()

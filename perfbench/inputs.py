@@ -9,11 +9,12 @@ every job has a known answer.
 The pools are visited in *rounds*: the pool is ranked by difficulty (the
 sweep's propagation count where one is recorded, else the expected cost)
 and cut into strata of like difficulty, and each round takes one
-not-yet-used circuit from every stratum in a seeded order.  Any prefix of
-the sequence therefore holds easy and hard circuits in the same
-proportion, which keeps a fixed-length timed window comparable across
-seeds.  A run that exhausts the pool starts over with a fresh seeded
-order.
+not-yet-used circuit from every stratum, the strata in a fixed order that
+spreads over the difficulty range.  The seed picks the circuit taken from
+each stratum in each round.  Any prefix of the sequence therefore holds
+easy and hard circuits in the same proportion, which keeps a fixed-length
+timed window comparable across seeds.  A run that exhausts the pool starts
+over with fresh seeded picks.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ SAT_WARMUP_SEED = 900_001
 #: Strata per pool.  The sweep's solve times spread widely, so its pool is
 #: cut into about as many strata as a run completes jobs.
 STRATA = {"dp_qx4": 4, "sat_sweep_grid8": 24, "http_mixed": 4}
+_GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 def make_circuit(shape: Tuple[int, int, float], seed: int):
@@ -75,9 +77,11 @@ def stratified_order(pool: str, seed: int) -> Iterator[int]:
     ranked = sorted(difficulty, key=lambda s: (difficulty[s], s))
     size = -(-len(ranked) // STRATA[pool])
     strata = [ranked[i:i + size] for i in range(0, len(ranked), size)]
+    # Strata in golden-ratio order: every prefix of a round spreads evenly
+    # over the difficulty range, and it is the same for every seed.
+    visit = sorted(range(len(strata)), key=lambda i: (i * _GOLDEN) % 1)
     while True:
         shuffled: List[List[int]] = [rng.sample(s, len(s)) for s in strata]
         for position in range(size):
-            round_ = [s[position] for s in shuffled if position < len(s)]
-            rng.shuffle(round_)
-            yield from round_
+            yield from (shuffled[i][position] for i in visit
+                        if position < len(shuffled[i]))

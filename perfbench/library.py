@@ -1,7 +1,8 @@
 """The two library workloads: ``dp_qx4`` and ``sat_sweep_grid8``.
 
 Both are closed loops with one caller: the next ``MappingPipeline.map`` call
-starts when the previous one returns.
+starts when the previous one returns (after a calibration slice, see
+``calibrate.py``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 import inputs
+from calibrate import reference_slice, scale
 from measure import Job, check_result, latency_metrics, vm_hwm_mb
 from tracing import END, NAME, START, Tracer
 
@@ -18,6 +20,7 @@ CONFIG = {
         "arch": "ibm_qx4", "engine": "dp", "options": {},
         "shape": inputs.DP_SHAPE, "warmup": inputs.DP_WARMUP_SEED,
         "claims_optimal": True,
+        "slice_units": 20,
     },
     "sat_sweep_grid8": {
         "arch": "sweep_grid8", "engine": "sat", "options": {"use_subsets": True},
@@ -25,6 +28,7 @@ CONFIG = {
         # The subset sweep minimises over connected subsets only, so it
         # never claims the device minimum (see make_expected.py).
         "claims_optimal": False,
+        "slice_units": 100,
     },
 }
 
@@ -97,15 +101,22 @@ def run(workload: str, seed: int, seconds: float,
         tracer.install()
     coupling, pipeline = setup(workload)
 
+    # A reference slice before the first job and after every job; each job
+    # is charged its wall time at the speed of the two slices around it.
     jobs: List[Job] = []
     start = time.perf_counter()
     deadline = start + seconds
-    while not jobs or jobs[-1].end < deadline:
+    units = config["slice_units"]
+    slices = [reference_slice(units)]
+    while not jobs or time.perf_counter() < deadline:
         seed_ = next(order)
         if tracer is not None:
             tracer.job = len(jobs)
         jobs.append(_run_job(pipeline, circuits[seed_], len(jobs), seed_, workload))
-    wall = jobs[-1].end - start
+        slices.append(reference_slice(units))
+    wall = time.perf_counter() - start
+    for job, before, after in zip(jobs, slices, slices[1:]):
+        job.scale = scale(before, after, units)
     peak_rss = vm_hwm_mb()
 
     # The counter set: the first jobs of the sequence, run once more after
@@ -128,17 +139,24 @@ def run(workload: str, seed: int, seconds: float,
         if job.error is None:
             job.error = check_result(job.result, circuits[job.seed], coupling,
                                      expected[job.seed], config["claims_optimal"])
-    report = {"jobs": timed, "wall": wall, "peak_rss_mb": peak_rss}
-    report.update(latency_metrics(timed, workload, wall))
+    # Closed loop: the caller's time is the sum of its jobs' times.
+    busy = sum(job.calibrated for job in timed)
+    report = {"jobs": timed, "wall": wall, "peak_rss_mb": peak_rss,
+              "slices": slices}
+    report.update(latency_metrics(timed, workload, busy))
     if tracer is not None:
         report["layers"], report["repeat_mismatches"] = _layers(
-            workload, tracer, jobs, repeats, timed, wall)
+            workload, tracer, jobs, repeats, timed, busy)
     return report
 
 
 def _layers(workload: str, tracer: Tracer, jobs: List[Job], repeats: List[Job],
-            timed: List[Job], wall: float):
-    """Per-layer metrics of a traced run, and the counter-repeat mismatches."""
+            timed: List[Job], busy: float):
+    """Per-layer metrics of a traced run, and the counter-repeat mismatches.
+
+    Layer times are wall seconds; ``traced.*`` are calibrated like the
+    untraced run's metrics, so that the two compare.
+    """
     first = [_job_counters(job, tracer.counters[job.index])
              for job in jobs[:COUNTER_JOBS[workload]]]
     again = [_job_counters(job, tracer.counters[("repeat", job.index)])
@@ -161,7 +179,7 @@ def _layers(workload: str, tracer: Tracer, jobs: List[Job], repeats: List[Job],
                        for i in window)
     solve_s = totals["sat.solve"]["s"] if "sat.solve" in totals else 0.0
     families = counted["sweep.families_total"]
-    traced = latency_metrics(timed, workload, wall)
+    traced = latency_metrics(timed, workload, busy)
     layers = {
         "arch.table_build_s": table_span[END] - table_span[START],
         "arch.transition_calls": counted["arch.transition_calls"],

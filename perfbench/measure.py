@@ -9,10 +9,10 @@ from typing import Any, Dict, List, Optional
 
 #: Fixed tail percentile per workload.  Each is the highest percentile with
 #: at least ten samples beyond it at the commit that added the benchmark,
-#: which completes about 130, 25 and 95 jobs in a 30 s run.  It is fixed
+#: which completes about 110-170, 24-50 and 72 jobs in a 30 s run.  It is fixed
 #: rather than derived from each run's sample count, so that a faster
 #: program, which completes more jobs, is not charged a higher percentile.
-TAIL_PERCENTILE = {"dp_qx4": 90, "sat_sweep_grid8": 60, "http_mixed": 88}
+TAIL_PERCENTILE = {"dp_qx4": 90, "sat_sweep_grid8": 60, "http_mixed": 85}
 
 
 @dataclass
@@ -27,10 +27,17 @@ class Job:
     result: Any = None
     error: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
+    #: Machine-speed factor of the job's wall time (see ``calibrate.py``);
+    #: 1 for jobs timed in plain wall seconds.
+    scale: float = 1.0
 
     @property
     def latency(self) -> float:
         return self.end - self.start
+
+    @property
+    def calibrated(self) -> float:
+        return self.latency * self.scale
 
 
 def check_result(result, circuit, coupling, expected_cost: int,
@@ -71,8 +78,12 @@ def tail(values: List[float], percentile: int) -> Dict[str, float]:
 
 
 def latency_metrics(jobs: List[Job], workload: str, wall: float) -> Dict[str, Any]:
-    """jobs_per_s, job_p50_s, job_tail_s and ok_share of a timed window."""
-    latencies = [job.latency for job in jobs]
+    """jobs_per_s, job_p50_s, job_tail_s and ok_share of a timed window.
+
+    Latencies are the jobs' calibrated times; *wall* is the window's length
+    in the same unit.
+    """
+    latencies = [job.calibrated for job in jobs]
     ok = sum(1 for job in jobs if job.error is None)
     tail_info = tail(latencies, TAIL_PERCENTILE[workload])
     return {

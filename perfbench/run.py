@@ -18,6 +18,9 @@ Workloads (see ``BENCHMARK.json`` and ``predictions.json``):
 window with the layer boundaries wrapped (see ``tracing.py``) and reports
 the per-layer metrics, writes the spans under ``.perfbench_work/traces/``
 and re-runs the first jobs to check that the work counters repeat exactly.
+Job times and ``setup_s`` are calibrated against a fixed reference
+computation run next to them, which takes out the drift of a shared host's
+speed (see ``calibrate.py``).
 Every job is checked for correctness outside the timed window; any failure
 makes the run exit non-zero.  ``--workload all`` runs every workload
 untraced and traced and prints both, side by side, as the tracing overhead.
@@ -161,11 +164,18 @@ def _stamp() -> dict:
 
 
 def _setup_samples(workload: str, count: int, run_dir: Path) -> list:
-    """Seconds from interpreter start to ready, in *count* fresh interpreters."""
+    """Seconds from interpreter start to ready, in *count* fresh interpreters.
+
+    Each sample is calibrated by reference slices run just before and just
+    after its interpreter (see ``calibrate.py``).
+    """
+    from calibrate import SETUP_SLICE_UNITS as units, reference_slice, scale
+
     samples = []
     for index in range(count):
         tmp = run_dir / f"probe{index}"
         tmp.mkdir()
+        before = reference_slice(units)
         started = time.perf_counter()
         with subprocess.Popen(
             [sys.executable, str(Path(__file__)), "--setup-probe", workload,
@@ -173,9 +183,10 @@ def _setup_samples(workload: str, count: int, run_dir: Path) -> list:
             stdout=subprocess.PIPE, env=_child_env(tmp), cwd=ROOT,
         ) as child:
             line = child.stdout.readline()
-            samples.append(time.perf_counter() - started)
+            wall = time.perf_counter() - started
             child.stdout.read()
             code = child.wait(timeout=120)
+        samples.append(wall * scale(before, reference_slice(units), units))
         if line.strip() != b"ready" or code != 0:
             _fail(f"set-up probe of {workload} failed (exit {code})", 1)
     return samples
@@ -239,6 +250,9 @@ def run_one(args) -> int:
     tail = report["_tail"]
     print(f"job_tail_s is p{tail['percentile']} of {tail['samples']} samples "
           f"({tail['beyond']} beyond it)")
+    print(f"calibration: {len(report['slices'])} reference slices, median job "
+          f"scale {statistics.median(job.scale for job in jobs):.4f}, "
+          f"uncalibrated job p50 {statistics.median(j.latency for j in jobs):.4f} s")
     if "late_max_s" in report:
         print(f"load generator ran at most {report['late_max_s'] * 1000:.2f} ms "
               "late")
