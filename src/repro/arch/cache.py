@@ -21,8 +21,9 @@ copy (forked children inherit the parent's warm cache on platforms whose
 start method is ``fork``).
 
 This module lives in :mod:`repro.arch` because the cached artefacts depend
-only on the architecture layer; :mod:`repro.pipeline.cache` re-exports it as
-the service-facing entry point.
+only on the architecture layer, so the exact engines use the caches without
+depending on the orchestration packages.  :mod:`repro.pipeline` re-exports
+its public functions.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ and its consumers:
   wrong skeleton keys all fall back to the cold behaviour (same proven
   minima) with truthful provenance notes,
 * the :class:`ClauseProvider` / :meth:`BoundProviderChain.resolve_artifacts`
-  plumbing, parallel-vs-sequential agreement, and the service-level hit
+  plumbing, and the service-level hit
   counters stamped into job provenance and ``MappingService.stats()``.
 """
 
@@ -32,7 +32,6 @@ from repro.exact.encoding import build_encoding, clear_skeleton_cache
 from repro.exact.sat_mapper import SATMapper
 from repro.exact.sweep import clause_is_implied, template_clause_remap
 from repro.pipeline.bounds import BoundProviderChain, ClauseProvider
-from repro.pipeline.pipeline import MappingPipeline
 from repro.service.service import MappingService
 from repro.service.store import (
     ARTIFACT_PAYLOAD_VERSION,
@@ -426,26 +425,6 @@ class TestProvidersAndService:
         assert isinstance(cache, ArtifactCache)
         assert provider_name == "artifact"
         assert any("no artifact tier" in note for note in notes)
-
-    def test_parallel_fanout_agrees_with_sequential(self, tmp_path):
-        circuit = paper_example_cnot_skeleton()
-        store = ResultStore(tmp_path / "a.sqlite")
-        options = {"use_subsets": True}
-        clear_skeleton_cache()
-        sequential = MappingPipeline(
-            ibm_qx4(), engine="sat", engine_options=options, workers=1,
-            bound_providers=[ClauseProvider(store)],
-        ).map(circuit)
-        clear_skeleton_cache()
-        parallel = MappingPipeline(
-            ibm_qx4(), engine="sat", engine_options=options, workers=4,
-            bound_providers=[ClauseProvider(store)],
-        ).map(circuit)
-        assert sequential.added_cost == parallel.added_cost
-        assert sequential.statistics["artifact_provider"] == "artifact"
-        assert parallel.statistics["artifact_provider"] == "artifact"
-        # The second (parallel) run is warm from the sequential harvest.
-        assert parallel.statistics["artifact_hits"] >= 1
 
     def test_service_stamps_artifact_provenance_and_stats(self):
         async def scenario():

@@ -173,6 +173,22 @@ class TestPortfolioMapper:
         if result.statistics["portfolio_source"] == "heuristic":
             assert "portfolio_sat_error" in result.statistics
 
+    def test_cancelled_control_stops_sat_stage(self):
+        # The token reaches the SAT stage: an already-cancelled job launches
+        # no solver, and the heuristic result stands.
+        from repro.sat.control import SolveControl
+
+        circuit = paper_example_cnot_skeleton()
+        control = SolveControl()
+        control.cancel()
+        mapper = PortfolioMapper(ibm_qx4())
+        mapper.bind_control(control)
+        result = mapper.map(circuit)
+        assert result.statistics["portfolio_bound"] > 0
+        assert result.statistics["portfolio_source"] == "heuristic"
+        assert "portfolio_sat_error" in result.statistics
+        assert result.added_cost == result.statistics["portfolio_bound"]
+
     def test_portfolio_registered_in_registry(self):
         from repro.pipeline.registry import get_mapper
 

@@ -139,19 +139,18 @@ class TestSubsetFamilies:
         assert stats["families_pruned"] == 1
 
     def test_family_reuse_matches_unshared_objective(self):
-        # Cross-check: each subset solved independently (no family sharing)
-        # must agree with the swept result on the minimum objective.
+        # Cross-check: each candidate subset mapped on its own by a fresh
+        # mapper (no family sharing, no pruning, no sweep) must agree with
+        # the swept result on the minimum objective.
         circuit = paper_example_cnot_skeleton()
-        mapper = SATMapper(ibm_qx4(), use_subsets=True)
-        gates, spots = mapper.cnot_instance(circuit)
+        coupling = ibm_qx4()
+        mapper = SATMapper(coupling, use_subsets=True)
         independent = [
-            mapper.solve_subset(gates, circuit.num_qubits, spots, subset)
+            SATMapper(coupling.subgraph(subset)).map(circuit).objective
             for subset in mapper.candidate_subsets(circuit.num_qubits)
         ]
-        best = SATMapper.select_best_outcome(independent)
         swept = mapper.map(circuit)
-        assert best is not None
-        assert swept.objective == best.objective
+        assert swept.objective == min(independent)
 
     def test_mirror_outcome_translates_device_indices(self):
         circuit = paper_example_cnot_skeleton()
@@ -160,14 +159,19 @@ class TestSubsetFamilies:
         subsets = mapper.candidate_subsets(circuit.num_qubits)
         groups = mapper.subset_family_groups(subsets)
         group = next(g for g in groups if len(g) > 1)
-        solved = mapper.solve_subset(
-            gates, circuit.num_qubits, spots, subsets[group[0]]
+        state = mapper._family_state(
+            mapper.coupling.subgraph(subsets[group[0]]),
+            gates, circuit.num_qubits, spots,
         )
+        solved = mapper._solve_family(state, subsets[group[0]], None, None)
         assert solved.is_satisfiable
-        mirrored = SATMapper.mirror_outcome(solved, subsets[group[1]])
+        mirrored = mapper._reuse_family_outcome(state, subsets[group[1]], None)
         assert mirrored.reused
         assert mirrored.status == solved.status
         assert mirrored.objective == solved.objective
+        assert mirrored.mappings == SATMapper._translate(
+            state.local_mappings, subsets[group[1]]
+        )
         member = set(subsets[group[1]])
         for mapping in mirrored.mappings:
             assert set(mapping) <= member

@@ -11,7 +11,7 @@ integration into :class:`repro.exact.sat_mapper.SATMapper`:
 * the provable structural lower bound and the directed/undirected edge
   embeddings,
 * lower-bound family pruning (skips without solving, identical minima),
-* sweep determinism and sequential/parallel agreement,
+* sweep determinism,
 * the encoding skeleton cache (identical formulas with and without reuse),
 * the ``propagations`` counter surfacing.
 """
@@ -37,7 +37,6 @@ from repro.exact.sweep import (
     structural_lower_bound,
     translate_schedule,
 )
-from repro.pipeline.pipeline import MappingPipeline
 from repro.sat.cnf import CNF
 from repro.sat.solver import CDCLSolver, SolverResult
 
@@ -338,18 +337,6 @@ class TestSweepBehaviour:
             index for plan in plans for index in plan.indices
         )
         assert covered == list(range(len(subsets)))
-
-    def test_parallel_sweep_agrees_with_sequential(self):
-        circuit = benchmark_circuit("ham3_102")
-        options = {"use_subsets": True}
-        sequential = MappingPipeline(
-            sweep_grid8(), engine="sat", engine_options=options, workers=1
-        ).map(circuit)
-        parallel = MappingPipeline(
-            sweep_grid8(), engine="sat", engine_options=options, workers=4
-        ).map(circuit)
-        assert sequential.added_cost == parallel.added_cost
-        assert sequential.optimal == parallel.optimal
 
     def test_grid_sweep_shares_and_prunes(self):
         circuit = benchmark_circuit("ham3_102")
