@@ -23,7 +23,13 @@ Quickstart::
     circuit.cx(1, 2)
     result = SATMapper(ibm_qx4()).map(circuit)
     print(result.summary())
+
+The simulator and service exports are resolved on first access (PEP 562),
+so mapping with the engines never loads numpy, asyncio or sqlite3.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from repro.circuit import QuantumCircuit, parse_qasm, parse_qasm_file, to_qasm
 from repro.arch import (
@@ -57,15 +63,26 @@ from repro.pipeline import (
     get_mapper,
     register_mapper,
 )
-from repro.sim import StatevectorSimulator, mapped_circuit_equivalent
 from repro.verify import check_coupling_compliance, verify_result
 from repro.benchlib import benchmark_circuit, benchmark_names, get_record
-from repro.service import (
-    MappingService,
-    ResultStore,
-    ServiceError,
-    job_fingerprint,
-)
+
+_LAZY_EXPORTS = {
+    "StatevectorSimulator": "repro.sim",
+    "mapped_circuit_equivalent": "repro.sim",
+    "MappingService": "repro.service",
+    "ResultStore": "repro.service",
+    "ServiceError": "repro.service",
+    "job_fingerprint": "repro.service",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from repro.service import (
+        MappingService,
+        ResultStore,
+        ServiceError,
+        job_fingerprint,
+    )
+    from repro.sim import StatevectorSimulator, mapped_circuit_equivalent
 
 __version__ = "1.0.0"
 
@@ -113,3 +130,15 @@ __all__ = [
     "job_fingerprint",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(module), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -8,6 +8,20 @@ logical-to-physical mappings is tiny (at most ``m! / (m - n)!``), so the
 minimum of the paper's objective can be computed exactly by a shortest-path /
 dynamic-programming sweep over "(gate index, mapping)" states.
 
+The SWAP part of a mapping change is itself a shortest path.  The
+*placement graph* has one node per injective placement of the ``n`` logical
+qubits on the ``m`` physical ones, and every undirected coupling edge links
+a placement to the one obtained by exchanging that edge's two physical
+qubits, at cost ``SWAP_COST``.  Every SWAP sequence from placement ``a`` to
+placement ``b`` realises a full permutation consistent with ``(a, b)`` and
+vice versa, so the graph distance equals the minimum over all consistent
+completions that :class:`~repro.arch.permutations.PermutationTable` would
+compute.  A permutation spot is therefore one multi-source shortest path,
+started from every state of the previous layer at its accumulated cost:
+``S * |E|`` edge relaxations for ``S`` states instead of ``S**2`` pairwise
+transition queries.  Because every edge costs the same, the search needs no
+heap: the seeds sorted by cost and the FIFO of relaxed states are merged.
+
 This engine is *not* the paper's method (the paper uses a reasoning engine on
 the symbolic formulation), but it computes the same minimum.  It serves two
 purposes in this reproduction:
@@ -27,7 +41,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.coupling import CouplingMap
 from repro.circuit.circuit import QuantumCircuit
@@ -38,6 +53,94 @@ from repro.exact.strategies import AllGatesStrategy, PermutationStrategy
 from repro.arch.cache import shared_permutation_table
 
 State = Tuple[int, ...]
+
+#: Distance of a state no path reaches.
+_UNREACHED = float("inf")
+
+
+def placement_graph(
+    coupling: CouplingMap, num_logical: int
+) -> Tuple[List[State], List[List[int]]]:
+    """The injective placements of *num_logical* qubits and their SWAP neighbours.
+
+    Returns ``(states, neighbours)``: ``neighbours[i]`` lists the indices of
+    the placements one SWAP away from ``states[i]``, one per undirected
+    coupling edge with at least one occupied end (exchanging two free
+    physical qubits leaves the placement as it is).
+    """
+    num_physical = coupling.num_qubits
+    states: List[State] = list(
+        itertools.permutations(range(num_physical), num_logical)
+    )
+    index = {state: position for position, state in enumerate(states)}
+    edges = sorted(coupling.undirected_edges)
+    neighbours: List[List[int]] = []
+    for state in states:
+        occupant = [-1] * num_physical
+        for logical, physical in enumerate(state):
+            occupant[physical] = logical
+        row: List[int] = []
+        for a, b in edges:
+            on_a, on_b = occupant[a], occupant[b]
+            if on_a < 0 and on_b < 0:
+                continue
+            moved = list(state)
+            if on_a >= 0:
+                moved[on_a] = b
+            if on_b >= 0:
+                moved[on_b] = a
+            row.append(index[tuple(moved)])
+        neighbours.append(row)
+    return states, neighbours
+
+
+def swap_distances(
+    seeds: Dict[int, int], neighbours: List[List[int]]
+) -> Tuple[List[float], List[int], int]:
+    """Multi-source shortest paths over the placement graph.
+
+    Every state in *seeds* starts at its given cost; every edge costs
+    ``SWAP_COST``.  Returns ``(distance, origin, relaxations)``: the cheapest
+    cost of reaching each state (``inf`` when no seed reaches it), the seed
+    that cheapest path starts from (``-1`` when unreached) and the number of
+    edges relaxed.
+    """
+    distance: List[float] = [_UNREACHED] * len(neighbours)
+    origin = [-1] * len(neighbours)
+    for state, cost in seeds.items():
+        distance[state] = cost
+        origin[state] = state
+    # With uniform edge costs the relaxed states enter the FIFO in
+    # non-decreasing distance order, so merging it with the sorted seeds
+    # settles states in Dijkstra order without a heap.
+    pending = sorted((cost, state) for state, cost in seeds.items())
+    num_pending = len(pending)
+    next_seed = 0
+    frontier: deque = deque()
+    relaxations = 0
+    while True:
+        if frontier and (
+            next_seed == num_pending
+            or distance[frontier[0]] <= pending[next_seed][0]
+        ):
+            state = frontier.popleft()
+        elif next_seed < num_pending:
+            cost, state = pending[next_seed]
+            next_seed += 1
+            if distance[state] < cost:
+                continue  # already settled more cheaply from another seed
+        else:
+            break
+        reach = distance[state] + SWAP_COST
+        root = origin[state]
+        row = neighbours[state]
+        relaxations += len(row)
+        for successor in row:
+            if reach < distance[successor]:
+                distance[successor] = reach
+                origin[successor] = root
+                frontier.append(successor)
+    return distance, origin, relaxations
 
 
 class DPMapper:
@@ -71,35 +174,18 @@ class DPMapper:
         self.strategy = strategy if strategy is not None else AllGatesStrategy()
         self.decompose_swaps = decompose_swaps
         self._table = shared_permutation_table(coupling)
-        self._transition_cache: Dict[Tuple[State, State], Optional[int]] = {}
+        # Optional cooperative-cancellation token (see bind_control).
+        self.control = None
 
-    # ------------------------------------------------------------------
-    # Cost helpers
-    # ------------------------------------------------------------------
-    def _gate_cost(self, state: State, control: int, target: int) -> Optional[int]:
-        """Placement cost of a CNOT under *state*; None when not placeable."""
-        physical_control = state[control]
-        physical_target = state[target]
-        if self.coupling.allows_cnot(physical_control, physical_target):
-            return 0
-        if self.coupling.allows_cnot(physical_target, physical_control):
-            return REVERSAL_COST
-        return None
+    def bind_control(self, control) -> None:
+        """Attach a :class:`~repro.sat.control.SolveControl` token.
 
-    def _transition_cost(self, old: State, new: State) -> Optional[int]:
-        """SWAP cost (in elementary operations) of changing *old* into *new*."""
-        if old == new:
-            return 0
-        key = (old, new)
-        if key in self._transition_cache:
-            return self._transition_cache[key]
-        try:
-            swaps = self._table.transition_cost(old, new)
-            cost: Optional[int] = SWAP_COST * swaps
-        except ValueError:
-            cost = None
-        self._transition_cache[key] = cost
-        return cost
+        Later :meth:`map` calls check ``control.cancelled`` once per gate
+        layer; after ``control.cancel()`` the running call stops at the next
+        layer and raises :class:`RuntimeError`, since the DP has no partial
+        solution to return.
+        """
+        self.control = control
 
     # ------------------------------------------------------------------
     def map(self, circuit: QuantumCircuit) -> MappingResult:
@@ -108,6 +194,8 @@ class DPMapper:
         Raises:
             ValueError: If the circuit needs more logical qubits than the
                 device offers, or a CNOT cannot be placed at all.
+            RuntimeError: If the bound control token is cancelled while
+                mapping.
         """
         start = time.monotonic()
         num_logical = circuit.num_qubits
@@ -135,57 +223,54 @@ class DPMapper:
         spots = set(self.strategy.spots(cnot_gates, self.coupling))
         spots.add(0)
 
-        all_states: List[State] = list(
-            itertools.permutations(range(num_physical), num_logical)
-        )
+        all_states, neighbours = placement_graph(self.coupling, num_logical)
 
-        # Valid states per gate: the gate's qubits must sit on a coupled pair.
-        valid_states: List[List[Tuple[State, int]]] = []
+        # Valid states per gate: the gate's qubits must sit on a coupled
+        # pair, at no cost along the edge and REVERSAL_COST against it.
+        placement_cost = {(t, c): REVERSAL_COST for c, t in self.coupling.edges}
+        placement_cost.update({edge: 0 for edge in self.coupling.edges})
+        options_by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        valid_states: List[List[Tuple[int, int]]] = []
         for control, target in gates:
-            options: List[Tuple[State, int]] = []
-            for state in all_states:
-                cost = self._gate_cost(state, control, target)
-                if cost is not None:
-                    options.append((state, cost))
-            if not options:
-                raise ValueError(
-                    f"CNOT({control}, {target}) cannot be placed on any coupled pair"
-                )
+            options = options_by_pair.get((control, target))
+            if options is None:
+                options = []
+                for index, state in enumerate(all_states):
+                    cost = placement_cost.get((state[control], state[target]))
+                    if cost is not None:
+                        options.append((index, cost))
+                if not options:
+                    raise ValueError(
+                        f"CNOT({control}, {target}) cannot be placed on any "
+                        "coupled pair"
+                    )
+                options_by_pair[(control, target)] = options
             valid_states.append(options)
 
-        # Dynamic programming over (gate, state).
-        best: Dict[State, int] = {}
-        parents: List[Dict[State, State]] = []
-        for state, gate_cost in valid_states[0]:
-            best[state] = gate_cost
-        parents.append({})
-
+        # Dynamic programming over (gate, state): a spot is one
+        # multi-source shortest path, any other gate keeps the mapping.
+        best: Dict[int, int] = dict(valid_states[0])
+        parents: List[Dict[int, int]] = [{}]
         transitions_evaluated = 0
         for k in range(1, len(gates)):
-            new_best: Dict[State, int] = {}
-            parent: Dict[State, State] = {}
-            permutation_allowed = k in spots
-            for state, gate_cost in valid_states[k]:
-                best_cost: Optional[int] = None
-                best_parent: Optional[State] = None
-                if not permutation_allowed:
+            if self.control is not None and self.control.cancelled:
+                raise RuntimeError(f"DP mapping cancelled before gate {k}")
+            new_best: Dict[int, int] = {}
+            parent: Dict[int, int] = {}
+            if k in spots:
+                distance, origin, relaxations = swap_distances(best, neighbours)
+                transitions_evaluated += relaxations
+                for state, gate_cost in valid_states[k]:
+                    reached = distance[state]
+                    if reached != _UNREACHED:
+                        new_best[state] = reached + gate_cost
+                        parent[state] = origin[state]
+            else:
+                for state, gate_cost in valid_states[k]:
                     previous_cost = best.get(state)
                     if previous_cost is not None:
-                        best_cost = previous_cost + gate_cost
-                        best_parent = state
-                else:
-                    for old_state, old_cost in best.items():
-                        transition = self._transition_cost(old_state, state)
-                        transitions_evaluated += 1
-                        if transition is None:
-                            continue
-                        candidate = old_cost + transition + gate_cost
-                        if best_cost is None or candidate < best_cost:
-                            best_cost = candidate
-                            best_parent = old_state
-                if best_cost is not None:
-                    new_best[state] = best_cost
-                    parent[state] = best_parent  # type: ignore[assignment]
+                        new_best[state] = previous_cost + gate_cost
+                        parent[state] = state
             if not new_best:
                 raise ValueError(
                     f"no valid mapping exists before gate {k} under strategy "
@@ -197,18 +282,19 @@ class DPMapper:
         # Recover the optimal mapping sequence.
         final_state = min(best, key=best.get)  # type: ignore[arg-type]
         objective = best[final_state]
-        sequence: List[State] = [final_state]
+        sequence: List[int] = [final_state]
         current = final_state
         for k in range(len(gates) - 1, 0, -1):
             current = parents[k][current]
             sequence.append(current)
         sequence.reverse()
+        mappings = [all_states[state] for state in sequence]
 
         schedule = MappingSchedule(
             num_logical=num_logical,
             num_physical=num_physical,
-            mappings=[tuple(state) for state in sequence],
-            initial_mapping=tuple(sequence[0]),
+            mappings=mappings,
+            initial_mapping=mappings[0],
         )
         runtime = time.monotonic() - start
         return build_result(
