@@ -274,6 +274,8 @@ class Supervisor:
         # failed during their own drain, whose terminal events we no longer
         # observed) is equally dead with the fleet — settle it truthfully.
         await self._settle_remaining_journal()
+        if self.journal is not None:
+            self.journal.close()
         if self._temp_cache is not None:
             self._temp_cache.cleanup()
             self._temp_cache = None
@@ -376,8 +378,14 @@ class Supervisor:
             await process.wait()
 
     async def _heartbeat_loop(self) -> None:
-        while True:
+        # Exits on ``draining`` as well as on cancel: Python 3.11's
+        # ``asyncio.wait_for`` (inside ``wire.http_request``) drops a
+        # cancel that lands as its inner call completes, and ``stop()``
+        # must not await this loop forever.
+        while not self.draining:
             await asyncio.sleep(HEARTBEAT_INTERVAL)
+            if self.draining:
+                return
             for handle in self.workers:
                 await self._heartbeat(handle)
 
@@ -877,15 +885,17 @@ class Supervisor:
         """Accept one submission: journal first, then dispatch.
 
         The body is journalled under a provisional id *before* any worker
-        sees it, then re-keyed to the public id the dispatch produced —
-        so from the moment a client could ever learn a job id, the submit
-        is durable and redeliverable.
+        sees it, then re-keyed to the public id the dispatch produced in
+        one transaction — so from the moment a client could ever learn a
+        job id, the submit is durable and redeliverable.  Two journal
+        commits per accepted submit.
         """
         provisional: Optional[str] = None
+        recorded = False
         if self.journal is not None:
             self._submit_seq += 1
             provisional = f"pending-{os.getpid()}-{self._submit_seq:06d}"
-            await self._journal_call(
+            recorded = await self._journal_call(
                 self.journal.record, provisional, request.body
             )
         try:
@@ -900,15 +910,18 @@ class Supervisor:
             raise
         payload = envelope.get("payload", {})
         local_id = payload.get("job_id")
-        if status == 202 and isinstance(local_id, str) and self.journal is not None:
-            public_id = f"{handle.worker_id}-{local_id}"
+        if status == 202 and isinstance(local_id, str) and provisional is not None:
+            if not recorded:
+                # The pre-dispatch write failed; one more try before the
+                # client can learn the id.
+                await self._journal_call(
+                    self.journal.record, provisional, request.body
+                )
             await self._journal_call(
-                self.journal.record, public_id, request.body
+                self.journal.dispatched, provisional,
+                f"{handle.worker_id}-{local_id}", handle.worker_id, local_id,
             )
-            await self._journal_call(
-                self.journal.assign, public_id, handle.worker_id, local_id
-            )
-        if provisional is not None:
+        elif provisional is not None:
             await self._journal_call(self.journal.discard, provisional)
         return status, self._prefix_job_ids(envelope, handle.worker_id)
 
@@ -939,6 +952,9 @@ class Supervisor:
             "redeliveries": self._redeliveries,
             "journal_enabled": self.journal is not None,
             "journal_errors": self._journal_errors,
+            "journal_commits": (
+                self.journal.commits if self.journal is not None else 0
+            ),
             "lost_jobs": len(self._lost),
             "uptime_seconds": (
                 time.monotonic() - self.started_at
@@ -1039,9 +1055,11 @@ class Supervisor:
 
         Reconnects with a short back-off whenever the worker connection
         drops (e.g. across a restart); job ids are rewritten to their
-        namespaced ``<worker>-<id>`` form on the way through.
+        namespaced ``<worker>-<id>`` form on the way through.  Like the
+        heartbeat loop, it also exits on ``draining``, because the cancel
+        from ``stop()`` can be lost inside ``open_websocket``.
         """
-        while True:
+        while not self.draining:
             try:
                 ws = await wire.open_websocket(
                     "127.0.0.1", handle.port, "/v1/stream"
@@ -1051,7 +1069,7 @@ class Supervisor:
                 await asyncio.sleep(HEARTBEAT_INTERVAL)
                 continue
             try:
-                while True:
+                while not self.draining:
                     message = await ws.receive()
                     if message is None:
                         break

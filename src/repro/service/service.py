@@ -304,6 +304,8 @@ class MappingService:
         4. Jobs still ``queued`` (never dispatched) are failed with a
            structured :class:`ServiceUnavailable`; no job is ever left in a
            non-terminal state, so ``result()`` waiters always wake up.
+        5. The store releases its database connection
+           (:meth:`ResultStore.close`).
 
         Args:
             drain: Kept for API compatibility and recorded in the failure
@@ -312,6 +314,7 @@ class MappingService:
                 not expect queued work to survive.
         """
         if self._dispatcher is None:
+            self.store.close()
             return
         self._stopping = True
         try:
@@ -348,6 +351,7 @@ class MappingService:
             self._queue = None
         finally:
             self._stopping = False
+            self.store.close()
 
     async def __aenter__(self) -> "MappingService":
         return await self.start()

@@ -20,11 +20,22 @@ as the ``repro-map cache prune`` CLI subcommand).
 
 Concurrency
 -----------
-Every SQLite operation opens its own short-lived connection, so the store
-object can be shared freely between threads, and multiple *processes*
-pointing at the same file coordinate through SQLite's file locking (writers
-retry for up to :data:`SQLITE_TIMEOUT_SECONDS` before giving up).  The
-in-memory LRU is guarded by a plain lock.
+Each process keeps one long-lived connection per database file, opened
+lazily in write-ahead-log (WAL) mode and shared by every
+:class:`ResultStore` and :class:`JobJournal` on that file.  Threads take
+turns on it under a lock; a write is one ``BEGIN IMMEDIATE`` transaction,
+so a commit costs one WAL append instead of a connection open, a rollback
+journal and a close.  ``synchronous`` stays at SQLite's default (FULL): a
+commit that has returned is on disk.  Across *processes*, readers never
+block the writer and the writer never blocks readers, while writes still
+serialise through SQLite's locking (writers wait up to
+:data:`SQLITE_TIMEOUT_SECONDS`, then retry a bounded number of times).  A
+forked child never touches the connection it inherited — it opens its own.
+If the file system refuses WAL, the store carries on in whatever journal
+mode SQLite reports.  :meth:`ResultStore.close` and :meth:`JobJournal.close`
+release the process's connection; the last connection to close checkpoints
+the log and deletes the ``-wal`` file.  The in-memory LRU is guarded by a
+plain lock.
 
 Validation
 ----------
@@ -58,13 +69,15 @@ degrades to no artifact seeding on the far side).
 from __future__ import annotations
 
 import json
+import os
 import random
 import sqlite3
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
 from repro import faults
 from repro.exact.result import MappingResult
@@ -155,6 +168,126 @@ def _retry_pause(attempt: int) -> None:
     )
 
 
+class _Database:
+    """This process's one SQLite connection to one database file.
+
+    Opened lazily in WAL mode, shared by every store and journal on the
+    file (see :func:`_database`) and used by one thread at a time.  Every
+    statement goes through :meth:`run`, which carries the one busy-retry
+    policy of the module.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            conn = sqlite3.connect(
+                self.path,
+                timeout=SQLITE_TIMEOUT_SECONDS,
+                isolation_level=None,  # transactions are explicit, in run()
+                check_same_thread=False,
+            )
+            try:
+                # Falls back silently: SQLite answers with the mode it kept
+                # when the file system cannot host a WAL.
+                conn.execute("PRAGMA journal_mode=WAL")
+            except sqlite3.Error:
+                conn.close()
+                raise
+            self._conn = conn
+        return self._conn
+
+    def run(
+        self,
+        point: Optional[str],
+        work: Callable[[sqlite3.Connection], Any],
+        *,
+        write: bool = False,
+        on_retry: Optional[Callable[[], None]] = None,
+    ) -> Any:
+        """``work(conn)``, as one transaction when *write*, with busy retries.
+
+        Transient conditions (SQLite busy/locked contention and the armed
+        fault *point*, if any) get :data:`BUSY_RETRY_LIMIT` jittered
+        retries, each reported through *on_retry*; exhaustion or a hard
+        error re-raises for the caller to map into its own failure
+        contract.  A failed write is rolled back, never half-committed.
+        """
+        attempt = 0
+        while True:
+            try:
+                if point is not None and faults.ARMED:
+                    faults.fire(point)
+                with self._lock:
+                    conn = self._connection()
+                    if not write:
+                        return work(conn)
+                    conn.execute("BEGIN IMMEDIATE")
+                    try:
+                        result = work(conn)
+                        conn.execute("COMMIT")
+                    except BaseException:
+                        if conn.in_transaction:
+                            conn.execute("ROLLBACK")
+                        raise
+                    return result
+            except (sqlite3.Error, faults.FaultInjectedError) as error:
+                if _transient_disk_error(error) and attempt < BUSY_RETRY_LIMIT:
+                    attempt += 1
+                    if on_retry is not None:
+                        on_retry()
+                    _retry_pause(attempt)
+                    continue
+                raise
+
+    def close(self) -> None:
+        """Close the connection; the next :meth:`run` reopens it."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+
+#: The live :class:`_Database` of each file in this process.  Weak, so a
+#: file's connection closes once nothing holds a store or journal on it.
+_DATABASES: "WeakValueDictionary[str, _Database]" = WeakValueDictionary()
+_DATABASES_LOCK = threading.Lock()
+
+#: Connections a forked child inherited from its parent.  The child keeps
+#: them referenced and never uses or closes them: closing one would run
+#: SQLite's last-connection cleanup (checkpoint, delete the ``-wal`` file)
+#: against a log the parent is still writing.
+_INHERITED: List[sqlite3.Connection] = []
+
+
+def _database(path: Path) -> _Database:
+    """The shared :class:`_Database` for *path* in this process."""
+    key = os.path.realpath(path)
+    with _DATABASES_LOCK:
+        database = _DATABASES.get(key)
+        if database is None:
+            database = _DATABASES[key] = _Database(key)
+        return database
+
+
+def _after_fork_in_child() -> None:
+    global _DATABASES_LOCK
+    _DATABASES_LOCK = threading.Lock()
+    for database in list(_DATABASES.values()):
+        if database._conn is not None:
+            _INHERITED.append(database._conn)
+            database._conn = None
+        # A parent thread may have held the lock at fork time; nothing in
+        # the child will ever release that copy.
+        database._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 class _MemoryEntry:
     """One in-memory tier entry: the result plus its row metadata."""
 
@@ -231,14 +364,18 @@ class ResultStore:
             "disk_errors": 0,
             "busy_retries": 0,
             "breaker_trips": 0,
+            "commits": 0,
         }
         #: Circuit-breaker state: consecutive hard failures, and the wall
         #: clock until which the disk tier is bypassed (0.0 = closed).
         self._disk_failures = 0
         self._degraded_until = 0.0
+        self._db: Optional[_Database] = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._connect() as conn:
+            self._db = _database(self.path)
+
+            def _create(conn: sqlite3.Connection) -> None:
                 conn.execute(_SCHEMA)
                 conn.execute(_ARTIFACT_SCHEMA)
                 existing = {
@@ -250,15 +387,47 @@ class ResultStore:
                             f"ALTER TABLE results ADD COLUMN {column} TEXT"
                         )
 
+            self._sql(_create, write=True)
+
     @classmethod
     def at(cls, cache_dir, **kwargs) -> "ResultStore":
         """The store for a cache *directory* (``<dir>/results.sqlite``)."""
         return cls(Path(cache_dir) / RESULTS_DB_NAME, **kwargs)
 
+    def close(self) -> None:
+        """Release this process's connection to the database file.
+
+        Call it on shutdown.  The connection is shared with every other
+        store or journal on the same file in this process; a later
+        operation on any of them reopens it.
+        """
+        if self._db is not None:
+            self._db.close()
+
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        assert self.path is not None
-        return sqlite3.connect(str(self.path), timeout=SQLITE_TIMEOUT_SECONDS)
+    def _sql(self, work, *, write: bool = False, point: Optional[str] = None):
+        """Run ``work(conn)`` on the shared connection; count commits."""
+        assert self._db is not None
+        result = self._db.run(
+            point, work, write=write, on_retry=self._count_busy_retry
+        )
+        if write:
+            with self._lock:
+                self._stats["commits"] += 1
+        return result
+
+    def _execute(self, sql: str, params: Tuple = ()) -> int:
+        """One write statement as its own transaction; its row count."""
+        return self._sql(
+            lambda conn: conn.execute(sql, params).rowcount, write=True
+        )
+
+    def _query(self, sql: str, params: Tuple = ()) -> List[Tuple]:
+        return self._sql(lambda conn: conn.execute(sql, params).fetchall())
+
+    def _count_busy_retry(self) -> None:
+        with self._lock:
+            self._stats["busy_retries"] += 1
 
     # ------------------------------------------------------------------
     # Disk-failure circuit breaker
@@ -290,31 +459,20 @@ class ResultStore:
                 self._disk_failures = 0
                 self._stats["breaker_trips"] += 1
 
-    def _run_disk(self, point: str, operation):
-        """Run one disk operation under the retry/breaker policy.
+    def _run_disk(self, point: str, work, *, write: bool = False):
+        """Run one breaker-guarded disk operation at fault *point*.
 
-        Transient conditions (SQLite busy/locked contention and armed
-        ``store.*`` fault points) get :data:`BUSY_RETRY_LIMIT` jittered
-        retries; exhaustion or a hard error feeds the breaker and
-        re-raises for the caller to map into its own failure contract.
+        After the retries of :meth:`_Database.run`, exhaustion or a hard
+        error feeds the breaker and re-raises for the caller to map into
+        its own failure contract.
         """
-        attempt = 0
-        while True:
-            try:
-                if faults.ARMED:
-                    faults.fire(point)
-                result = operation()
-            except (sqlite3.Error, faults.FaultInjectedError) as error:
-                if _transient_disk_error(error) and attempt < BUSY_RETRY_LIMIT:
-                    attempt += 1
-                    with self._lock:
-                        self._stats["busy_retries"] += 1
-                    _retry_pause(attempt)
-                    continue
-                self._disk_failed()
-                raise
-            self._disk_ok()
-            return result
+        try:
+            result = self._sql(work, write=write, point=point)
+        except (sqlite3.Error, faults.FaultInjectedError):
+            self._disk_failed()
+            raise
+        self._disk_ok()
+        return result
 
     def _expired(self, created_at: float, now: Optional[float] = None) -> bool:
         if self.ttl_seconds is None:
@@ -349,10 +507,9 @@ class ResultStore:
     def _delete_row(self, fingerprint: str) -> None:
         if self.path is not None:
             try:
-                with self._connect() as conn:
-                    conn.execute(
-                        "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
-                    )
+                self._execute(
+                    "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
+                )
             except sqlite3.Error:
                 # Purges are advisory — a failed one just leaves a row the
                 # next reader will re-attempt to drop.
@@ -370,11 +527,10 @@ class ResultStore:
         if cutoff is None or self.path is None:
             return
         try:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ? AND created_at <= ?",
-                    (fingerprint, cutoff),
-                )
+            self._execute(
+                "DELETE FROM results WHERE fingerprint = ? AND created_at <= ?",
+                (fingerprint, cutoff),
+            )
         except sqlite3.Error:
             pass  # advisory purge; see _delete_row
 
@@ -416,27 +572,26 @@ class ResultStore:
         store_error: Optional[StoreError] = None
         if self.path is not None and not self.degraded:
 
-            def _write() -> None:
-                with self._connect() as conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO results "
-                        "(fingerprint, payload, engine, added_cost, optimal, "
-                        " created_at, circuit_fp, arch_fp) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            fingerprint,
-                            payload,
-                            result.engine,
-                            result.added_cost,
-                            int(result.optimal),
-                            created_at,
-                            circuit_fp,
-                            arch_fp,
-                        ),
-                    )
+            def _write(conn: sqlite3.Connection) -> None:
+                conn.execute(
+                    "INSERT OR REPLACE INTO results "
+                    "(fingerprint, payload, engine, added_cost, optimal, "
+                    " created_at, circuit_fp, arch_fp) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        fingerprint,
+                        payload,
+                        result.engine,
+                        result.added_cost,
+                        int(result.optimal),
+                        created_at,
+                        circuit_fp,
+                        arch_fp,
+                    ),
+                )
 
             try:
-                self._run_disk("store.put", _write)
+                self._run_disk("store.put", _write, write=True)
             except (sqlite3.Error, faults.FaultInjectedError) as error:
                 store_error = StoreError(
                     f"failed to persist result: {error}",
@@ -480,13 +635,12 @@ class ResultStore:
                 self._delete_expired_row(fingerprint)
         if self.path is not None and not self.degraded:
 
-            def _read():
-                with self._connect() as conn:
-                    return conn.execute(
-                        "SELECT payload, created_at, circuit_fp, arch_fp "
-                        "FROM results WHERE fingerprint = ?",
-                        (fingerprint,),
-                    ).fetchone()
+            def _read(conn: sqlite3.Connection):
+                return conn.execute(
+                    "SELECT payload, created_at, circuit_fp, arch_fp "
+                    "FROM results WHERE fingerprint = ?",
+                    (fingerprint,),
+                ).fetchone()
 
             try:
                 row = self._run_disk("store.get", _read)
@@ -526,11 +680,10 @@ class ResultStore:
             if self._memory.pop(fingerprint, None) is not None:
                 removed = True
         if self.path is not None:
-            with self._connect() as conn:
-                cursor = conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
-                )
-                removed = removed or cursor.rowcount > 0
+            rowcount = self._execute(
+                "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
+            )
+            removed = removed or rowcount > 0
         return removed
 
     # ------------------------------------------------------------------
@@ -569,9 +722,8 @@ class ResultStore:
             if cutoff is not None:
                 query += " AND created_at > ?"
                 params += (cutoff,)
-            with self._connect() as conn:
-                row = conn.execute(query, params).fetchone()
-            if row is not None and row[0] is not None:
+            (row,) = self._query(query, params)
+            if row[0] is not None:
                 cost = int(row[0])
                 if best is None or cost < best:
                     best = cost
@@ -612,8 +764,7 @@ class ResultStore:
                 query += " AND created_at > ?"
                 params += (cutoff,)
             query += " ORDER BY added_cost ASC"
-            with self._connect() as conn:
-                rows = conn.execute(query, params).fetchall()
+            rows = self._query(query, params)
             for fingerprint, payload, added_cost in rows:
                 if best is not None and best.added_cost <= added_cost:
                     break
@@ -647,13 +798,12 @@ class ResultStore:
                     self._stats["artifact_hits"] += 1
                     return entry[0]
         if self.path is not None:
-            with self._connect() as conn:
-                row = conn.execute(
-                    "SELECT payload, created_at FROM artifacts "
-                    "WHERE skeleton_key = ?",
-                    (skeleton_key,),
-                ).fetchone()
-            if row is not None:
+            rows = self._query(
+                "SELECT payload, created_at FROM artifacts WHERE skeleton_key = ?",
+                (skeleton_key,),
+            )
+            if rows:
+                row = rows[0]
                 if self._expired(row[1]):
                     self._delete_artifact_row(skeleton_key)
                     with self._lock:
@@ -698,30 +848,30 @@ class ResultStore:
         created_at = time.time()
         merged = payload
         if self.path is not None:
+
+            def _merge(conn: sqlite3.Connection) -> Dict[str, Any]:
+                merged = payload
+                row = conn.execute(
+                    "SELECT payload, created_at FROM artifacts "
+                    "WHERE skeleton_key = ?",
+                    (skeleton_key,),
+                ).fetchone()
+                if row is not None and not self._expired(row[1]):
+                    try:
+                        existing = json.loads(row[0])
+                    except ValueError:
+                        existing = None
+                    if _valid_artifact(existing):
+                        merged = _merge_artifacts(existing, payload)
+                conn.execute(
+                    "INSERT OR REPLACE INTO artifacts "
+                    "(skeleton_key, payload, created_at) VALUES (?, ?, ?)",
+                    (skeleton_key, json.dumps(merged), created_at),
+                )
+                return merged
+
             try:
-                conn = self._connect()
-                try:
-                    conn.execute("BEGIN IMMEDIATE")
-                    row = conn.execute(
-                        "SELECT payload, created_at FROM artifacts "
-                        "WHERE skeleton_key = ?",
-                        (skeleton_key,),
-                    ).fetchone()
-                    if row is not None and not self._expired(row[1]):
-                        try:
-                            existing = json.loads(row[0])
-                        except ValueError:
-                            existing = None
-                        if _valid_artifact(existing):
-                            merged = _merge_artifacts(existing, payload)
-                    conn.execute(
-                        "INSERT OR REPLACE INTO artifacts "
-                        "(skeleton_key, payload, created_at) VALUES (?, ?, ?)",
-                        (skeleton_key, json.dumps(merged), created_at),
-                    )
-                    conn.commit()
-                finally:
-                    conn.close()
+                merged = self._sql(_merge, write=True)
             except sqlite3.Error as error:
                 raise StoreError(
                     f"failed to persist solve artifact: {error}",
@@ -750,11 +900,9 @@ class ResultStore:
 
     def _delete_artifact_row(self, skeleton_key: str) -> None:
         if self.path is not None:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM artifacts WHERE skeleton_key = ?",
-                    (skeleton_key,),
-                )
+            self._execute(
+                "DELETE FROM artifacts WHERE skeleton_key = ?", (skeleton_key,)
+            )
 
     def artifact_rows(self) -> Tuple[int, int]:
         """``(row count, payload bytes)`` of the non-expired artifact tier."""
@@ -774,8 +922,7 @@ class ResultStore:
         if cutoff is not None:
             query += " WHERE created_at > ?"
             params = (cutoff,)
-        with self._connect() as conn:
-            row = conn.execute(query, params).fetchone()
+        (row,) = self._query(query, params)
         return int(row[0]), int(row[1])
 
     # ------------------------------------------------------------------
@@ -787,9 +934,8 @@ class ResultStore:
         if self.path is None:
             return False
         query = "SELECT created_at FROM results WHERE fingerprint = ?"
-        with self._connect() as conn:
-            row = conn.execute(query, (fingerprint,)).fetchone()
-        return row is not None and not self._expired(row[0])
+        rows = self._query(query, (fingerprint,))
+        return bool(rows) and not self._expired(rows[0][0])
 
     def __len__(self) -> int:
         """Number of non-expired results (expired rows read as absent)."""
@@ -807,8 +953,7 @@ class ResultStore:
         if cutoff is not None:
             query += " WHERE created_at > ?"
             params = (cutoff,)
-        with self._connect() as conn:
-            return conn.execute(query, params).fetchone()[0]
+        return self._query(query, params)[0][0]
 
     def fingerprints(self) -> Iterator[str]:
         """Iterate over non-expired fingerprints (memory-only when no path)."""
@@ -825,8 +970,7 @@ class ResultStore:
         if cutoff is not None:
             query += " WHERE created_at > ?"
             params = (cutoff,)
-        with self._connect() as conn:
-            rows = conn.execute(query + " ORDER BY created_at", params).fetchall()
+        rows = self._query(query + " ORDER BY created_at", params)
         return iter(row[0] for row in rows)
 
     def entries(self) -> List[Dict[str, Any]]:
@@ -851,8 +995,7 @@ class ResultStore:
         if cutoff is not None:
             query += " WHERE created_at > ?"
             params = (cutoff,)
-        with self._connect() as conn:
-            rows = conn.execute(query + " ORDER BY created_at", params).fetchall()
+        rows = self._query(query + " ORDER BY created_at", params)
         return [
             {"fingerprint": row[0], "engine": row[1], "added_cost": row[2],
              "optimal": bool(row[3]), "created_at": row[4],
@@ -914,7 +1057,8 @@ class ResultStore:
                 del self._artifact_memory[key]
         report["memory_dropped"] = len(stale_keys)
         if self.path is not None:
-            with self._connect() as conn:
+
+            def _prune(conn: sqlite3.Connection):
                 row = conn.execute(
                     "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
                     "FROM results WHERE created_at <= ?",
@@ -931,6 +1075,9 @@ class ResultStore:
                 conn.execute(
                     "DELETE FROM artifacts WHERE created_at <= ?", (cutoff,)
                 )
+                return row, artifact_row
+
+            row, artifact_row = self._sql(_prune, write=True)
             report["rows_pruned"] = int(row[0])
             report["bytes_reclaimed"] = int(row[1])
             report["artifact_rows_pruned"] = int(artifact_row[0])
@@ -972,10 +1119,14 @@ class ResultStore:
         """
         removed = 0
         if self.path is not None:
-            with self._connect() as conn:
+
+            def _clear(conn: sqlite3.Connection) -> int:
                 removed = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
                 conn.execute("DELETE FROM results")
                 conn.execute("DELETE FROM artifacts")
+                return removed
+
+            removed = self._sql(_clear, write=True)
         with self._lock:
             removed = max(removed, len(self._memory))
             self._memory.clear()
@@ -1109,7 +1260,7 @@ class ArtifactCache:
     :class:`ResultStore`: it exposes exactly the two artifact operations,
     and it survives crossing into process-pool workers — pickling drops the
     live store and keeps the database path, and the far side lazily
-    re-opens its own connection-per-operation store.  A memory-only store
+    re-opens a store on its own process's connection.  A memory-only store
     has no path to re-open, so on the far side every lookup misses and
     every save is dropped: artifact seeding silently degrades to cold
     solving, never to an error.
@@ -1189,18 +1340,25 @@ class JobJournal:
     accepted job vanish.
 
     The journal shares the supervisor's ``results.sqlite`` file (one
-    durable surface per cache directory) but owns its own table and
-    connection discipline: connection-per-operation, bounded busy retries,
-    and failures surfacing as :class:`StoreError` for the caller to treat
-    as "durability degraded" rather than "service down".
+    durable surface per cache directory) and its process's long-lived WAL
+    connection to it (see the module's "Concurrency" notes), but owns its
+    own table: every operation is one statement or one transaction on that
+    connection, with the module's bounded busy retries, and failures
+    surface as :class:`StoreError` for the caller to treat as "durability
+    degraded" rather than "service down".  ``commits`` counts the write
+    transactions this journal committed.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.commits = 0
+        self._lock = threading.Lock()
+        self._db = _database(self.path)
         try:
-            with self._connect() as conn:
-                conn.execute(_JOURNAL_SCHEMA)
+            self._db.run(
+                None, lambda conn: conn.execute(_JOURNAL_SCHEMA), write=True
+            )
         except sqlite3.Error as error:
             raise StoreError(
                 f"failed to open job journal: {error}",
@@ -1212,27 +1370,30 @@ class JobJournal:
         """The journal for a cache *directory* (``<dir>/results.sqlite``)."""
         return cls(Path(cache_dir) / RESULTS_DB_NAME)
 
-    def _connect(self) -> sqlite3.Connection:
-        return sqlite3.connect(str(self.path), timeout=SQLITE_TIMEOUT_SECONDS)
+    def close(self) -> None:
+        """Release this process's connection (see :meth:`ResultStore.close`)."""
+        self._db.close()
 
-    def _execute(self, sql: str, params: Tuple = ()) -> List[Tuple]:
-        """Run one statement with busy retries and the journal fault point."""
-        attempt = 0
-        while True:
-            try:
-                if faults.ARMED:
-                    faults.fire("store.journal")
-                with self._connect() as conn:
-                    return conn.execute(sql, params).fetchall()
-            except (sqlite3.Error, faults.FaultInjectedError) as error:
-                if _transient_disk_error(error) and attempt < BUSY_RETRY_LIMIT:
-                    attempt += 1
-                    _retry_pause(attempt)
-                    continue
-                raise StoreError(
-                    f"journal operation failed: {error}",
-                    details={"path": str(self.path)},
-                ) from error
+    def _run(self, work, *, write: bool = False):
+        """``work(conn)`` at the journal fault point, as :class:`StoreError`."""
+        try:
+            result = self._db.run("store.journal", work, write=write)
+        except (sqlite3.Error, faults.FaultInjectedError) as error:
+            raise StoreError(
+                f"journal operation failed: {error}",
+                details={"path": str(self.path)},
+            ) from error
+        if write:
+            with self._lock:
+                self.commits += 1
+        return result
+
+    def _execute(self, sql: str, params: Tuple = ()) -> None:
+        """One write statement as its own transaction."""
+        self._run(lambda conn: conn.execute(sql, params), write=True)
+
+    def _query(self, sql: str, params: Tuple = ()) -> List[Tuple]:
+        return self._run(lambda conn: conn.execute(sql, params).fetchall())
 
     # ------------------------------------------------------------------
     def record(self, public_id: str, body: bytes) -> None:
@@ -1251,13 +1412,30 @@ class JobJournal:
             (public_id, sqlite3.Binary(body), JOURNAL_ACCEPTED, now, now),
         )
 
-    def assign(self, public_id: str, worker_id: str, local_id: str) -> None:
-        """Record which worker owns the job and its worker-local id."""
-        self._execute(
-            "UPDATE job_journal SET worker_id = ?, local_id = ?, state = ?, "
-            "updated_at = ? WHERE public_id = ?",
-            (worker_id, local_id, JOURNAL_DISPATCHED, time.time(), public_id),
-        )
+    def dispatched(
+        self, provisional: str, public_id: str, worker_id: str, local_id: str
+    ) -> None:
+        """Re-key a provisional entry to its public id and assign its worker.
+
+        One transaction: a stale row under *public_id* (a worker restart
+        reuses local ids) is deleted, then the *provisional* row — recorded
+        before dispatch — takes the public id, the owning worker and its
+        worker-local id.  A crash can leave either the provisional row or
+        the dispatched one, never neither.
+        """
+
+        def _rekey(conn: sqlite3.Connection) -> None:
+            conn.execute(
+                "DELETE FROM job_journal WHERE public_id = ?", (public_id,)
+            )
+            conn.execute(
+                "UPDATE job_journal SET public_id = ?, worker_id = ?, "
+                "local_id = ?, state = ?, updated_at = ? WHERE public_id = ?",
+                (public_id, worker_id, local_id, JOURNAL_DISPATCHED,
+                 time.time(), provisional),
+            )
+
+        self._run(_rekey, write=True)
 
     def redelivered(self, public_id: str, worker_id: str, local_id: str) -> None:
         """Re-assign after a worker death (bumps the redelivery counter)."""
@@ -1277,14 +1455,14 @@ class JobJournal:
         )
 
     def discard(self, public_id: str) -> None:
-        """Drop one entry outright (e.g. a provisional pre-dispatch row)."""
+        """Drop one entry outright (a provisional row no job came of)."""
         self._execute(
             "DELETE FROM job_journal WHERE public_id = ?", (public_id,)
         )
 
     def get(self, public_id: str) -> Optional[Dict[str, Any]]:
         """One journal entry as a dict, or ``None``."""
-        rows = self._execute(
+        rows = self._query(
             "SELECT public_id, body, worker_id, local_id, state, error_code, "
             "redeliveries FROM job_journal WHERE public_id = ?",
             (public_id,),
@@ -1301,14 +1479,14 @@ class JobJournal:
         dispatch) — recovery must replay those too.
         """
         if worker_id is None:
-            rows = self._execute(
+            rows = self._query(
                 "SELECT public_id, body, worker_id, local_id, state, "
                 "error_code, redeliveries FROM job_journal WHERE state != ? "
                 "ORDER BY created_at",
                 (JOURNAL_TERMINAL,),
             )
         else:
-            rows = self._execute(
+            rows = self._query(
                 "SELECT public_id, body, worker_id, local_id, state, "
                 "error_code, redeliveries FROM job_journal "
                 "WHERE state != ? AND worker_id = ? ORDER BY created_at",

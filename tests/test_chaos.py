@@ -218,11 +218,15 @@ class TestStoreBreaker:
 class TestJobJournal:
     def test_record_assign_terminal_lifecycle(self, tmp_path):
         journal = JobJournal.at(tmp_path)
-        journal.record("w0-job-000001", b'{"submit": 1}')
-        entry = journal.get("w0-job-000001")
+        journal.record("pending-1-000001", b'{"submit": 1}')
+        entry = journal.get("pending-1-000001")
         assert entry["state"] == "accepted"
         assert entry["body"] == b'{"submit": 1}'
-        journal.assign("w0-job-000001", "w0", "job-000001")
+        journal.dispatched("pending-1-000001", "w0-job-000001", "w0", "job-000001")
+        assert journal.get("pending-1-000001") is None
+        entry = journal.get("w0-job-000001")
+        assert entry["state"] == "dispatched"
+        assert entry["body"] == b'{"submit": 1}'
         assert [e["public_id"] for e in journal.unfinished()] == [
             "w0-job-000001"
         ]
@@ -234,8 +238,8 @@ class TestJobJournal:
 
     def test_redelivery_bumps_counter_and_reassigns(self, tmp_path):
         journal = JobJournal.at(tmp_path)
-        journal.record("w0-job-000002", b"{}")
-        journal.assign("w0-job-000002", "w0", "job-000002")
+        journal.record("pending-1-000002", b"{}")
+        journal.dispatched("pending-1-000002", "w0-job-000002", "w0", "job-000002")
         journal.redelivered("w0-job-000002", "w1", "job-000017")
         entry = journal.get("w0-job-000002")
         assert entry["worker_id"] == "w1"
@@ -251,6 +255,39 @@ class TestJobJournal:
         assert journal.get("w0-job-000003")["error_code"] == (
             "service-unavailable"
         )
+
+    def test_dispatched_replaces_a_stale_public_row(self, tmp_path):
+        """A restarted worker reuses local ids; the new job's row wins."""
+        journal = JobJournal.at(tmp_path)
+        journal.record("w0-job-000001", b'{"old": 1}')
+        journal.mark_terminal("w0-job-000001")
+        journal.record("pending-1-000009", b'{"new": 1}')
+        journal.dispatched("pending-1-000009", "w0-job-000001", "w0", "job-000001")
+        entry = journal.get("w0-job-000001")
+        assert entry["body"] == b'{"new": 1}'
+        assert entry["state"] == "dispatched"
+        assert journal.get("pending-1-000009") is None
+
+    def test_failed_dispatched_keeps_the_provisional_row(self, tmp_path):
+        journal = JobJournal.at(tmp_path)
+        journal.record("pending-1-000010", b"{}")
+        faults.arm("store.journal:fail")
+        with pytest.raises(StoreError):
+            journal.dispatched("pending-1-000010", "w0-job-000010", "w0", "job-000010")
+        faults.disarm()
+        assert journal.get("pending-1-000010")["state"] == "accepted"
+        assert journal.get("w0-job-000010") is None
+
+    def test_commits_count_write_transactions(self, tmp_path):
+        journal = JobJournal.at(tmp_path)
+        opened = journal.commits  # the schema transaction
+        journal.record("pending-1-000011", b"{}")
+        journal.dispatched("pending-1-000011", "w0-job-000011", "w0", "job-000011")
+        journal.get("w0-job-000011")
+        journal.unfinished()
+        assert journal.commits - opened == 2
+        journal.mark_terminal("w0-job-000011")
+        assert journal.commits - opened == 3
 
     def test_discard_drops_provisional_rows(self, tmp_path):
         journal = JobJournal.at(tmp_path)

@@ -257,6 +257,107 @@ print(result.added_cost)
         assert read.stdout.strip() == added_cost
 
 
+class TestSharedConnection:
+    """One long-lived WAL connection per process and database file."""
+
+    def test_wal_mode_full_sync_and_close_removes_the_log(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        store = ResultStore(path)
+        result = _result()
+        store.put(_fingerprint(result), result)
+        assert Path(str(path) + "-wal").exists()
+        pragmas = store._db.run(
+            None,
+            lambda conn: (
+                conn.execute("PRAGMA journal_mode").fetchone()[0],
+                conn.execute("PRAGMA synchronous").fetchone()[0],
+            ),
+        )
+        assert pragmas == ("wal", 2)  # synchronous FULL: commits are durable
+        store.close()
+        # The last connection to close checkpoints and deletes the log.
+        assert not Path(str(path) + "-wal").exists()
+        # A closed store reopens lazily.
+        assert store.get(_fingerprint(result)) is not None
+
+    def test_stores_on_one_file_share_the_connection(self, tmp_path):
+        first = ResultStore(tmp_path / "r.sqlite")
+        second = ResultStore(tmp_path / "." / "r.sqlite")
+        assert first._db is second._db
+        assert ResultStore(tmp_path / "other.sqlite")._db is not first._db
+
+    def test_commits_count_write_transactions(self, tmp_path):
+        store = ResultStore(tmp_path / "r.sqlite", max_memory_entries=0)
+        opened = store.stats()["commits"]  # the schema transaction
+        result = _result()
+        fingerprint = _fingerprint(result)
+        store.put(fingerprint, result)
+        assert store.get(fingerprint) is not None
+        assert fingerprint in store
+        assert store.stats()["commits"] - opened == 1
+        assert store.delete(fingerprint) is True
+        assert store.stats()["commits"] - opened == 2
+        assert ResultStore().stats()["commits"] == 0
+
+    def test_threads_share_the_connection(self, tmp_path):
+        store = ResultStore(tmp_path / "r.sqlite", max_memory_entries=0)
+        opened = store.stats()["commits"]
+        results = [_result(seed) for seed in range(1, 7)]
+        errors = []
+
+        def worker(result):
+            try:
+                for _ in range(5):
+                    store.put(_fingerprint(result), result)
+                    assert store.get(_fingerprint(result)) is not None
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(r,)) for r in results
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Every put committed once; no commit count was lost to a race.
+        assert store.stats()["commits"] - opened == 5 * len(results)
+        assert len(store) == len({_fingerprint(r) for r in results})
+
+    def test_forked_child_opens_its_own_connection(self, tmp_path):
+        import multiprocessing
+
+        store = ResultStore(tmp_path / "r.sqlite", max_memory_entries=0)
+        parent_row, child_row, late_row = _result(1), _result(2), _result(3)
+        store.put(_fingerprint(parent_row), parent_row)
+        inherited = store._db._conn
+        assert inherited is not None
+
+        def child():
+            # The inherited store, on a connection the child opens itself.
+            assert store.get(_fingerprint(parent_row)) is not None
+            store.put(_fingerprint(child_row), child_row)
+            assert store._db._conn is not inherited
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        assert process.exitcode == 0
+        # The parent's connection is untouched by the child's use of the
+        # store, and sees the child's committed row.
+        assert store.get(_fingerprint(parent_row)) is not None
+        assert store.get(_fingerprint(child_row)) is not None
+        store.put(_fingerprint(late_row), late_row)
+        assert store.get(_fingerprint(late_row)) is not None
+
+
 class TestTTLExpiry:
     """``ttl_seconds``: expired rows read as misses and are purged lazily."""
 

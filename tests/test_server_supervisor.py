@@ -316,3 +316,106 @@ class TestSupervisorEndToEnd:
                 assert workers["w0"]["restarts"] >= 1
 
         run(scenario())
+
+
+async def _commit_counts(port):
+    """``(journal commits, worker w0's result-store commits)``."""
+    _status, envelope = await _request(port, "GET", "/v1/stats")
+    payload = envelope["payload"]
+    return (
+        payload["stats"]["journal_commits"],
+        payload["workers"]["w0"]["store"]["commits"],
+    )
+
+
+class TestSupervisorStoreWrites:
+    """The store-write layer: commits per served job, and a clean shutdown."""
+
+    def test_commits_per_fresh_and_repeated_job(self, tmp_path):
+        async def one_job(port, qasm, name):
+            journal_before, store_before = await _commit_counts(port)
+            _status, envelope = await _request(
+                port, "POST", "/v1/jobs", _submit_body(qasm, name)
+            )
+            # Both submit commits land before the client learns the id.
+            journal_now, _store = await _commit_counts(port)
+            assert journal_now - journal_before >= 2
+            job_id = envelope["payload"]["job_id"]
+            status, envelope = await _request(
+                port, "GET", f"/v1/jobs/{job_id}/result?wait=120"
+            )
+            assert status == 200
+            # The settle commit follows the worker's "done" stream event.
+            deadline = time.monotonic() + 30
+            while journal_now - journal_before < 3:
+                assert time.monotonic() < deadline, journal_now
+                await asyncio.sleep(0.05)
+                journal_now, _store = await _commit_counts(port)
+            journal_after, store_after = await _commit_counts(port)
+            return (
+                journal_after - journal_before,
+                store_after - store_before,
+                envelope["payload"]["provenance"]["cache_hit"],
+            )
+
+        async def scenario():
+            async with Supervisor(
+                workers=1, engine="dp", cache_dir=str(tmp_path)
+            ) as supervisor:
+                qasm = to_qasm(paper_example_circuit())
+                fresh = await one_job(supervisor.port, qasm, "fresh")
+                repeat = await one_job(supervisor.port, qasm, "repeat")
+            return fresh, repeat
+
+        fresh, repeat = run(scenario())
+        # 2 journal commits on submit + 1 on settle; 1 result commit.
+        assert fresh == (3, 1, False)
+        # A repeat of a cached circuit writes no result.
+        assert repeat == (3, 0, True)
+
+    def test_stop_leaves_no_write_ahead_log(self, tmp_path):
+        """Every connection is closed on shutdown: the last one to close
+        checkpoints the log and deletes ``results.sqlite-wal``."""
+        wal = tmp_path / "results.sqlite-wal"
+
+        async def scenario():
+            async with Supervisor(
+                workers=1, engine="dp", cache_dir=str(tmp_path)
+            ) as supervisor:
+                port = supervisor.port
+                _status, envelope = await _request(
+                    port, "POST", "/v1/jobs",
+                    _submit_body(QASM_SECOND, "wal"),
+                )
+                job_id = envelope["payload"]["job_id"]
+                status, _envelope = await _request(
+                    port, "GET", f"/v1/jobs/{job_id}/result?wait=120"
+                )
+                assert status == 200
+                assert wal.exists()  # the store runs in WAL mode
+
+        run(scenario())
+        assert (tmp_path / "results.sqlite").exists()
+        assert not wal.exists()
+
+
+class TestSupervisorDrainExits:
+    def test_background_loops_exit_on_draining_without_a_cancel(self, tmp_path):
+        """``stop()`` cannot hang on a loop whose cancel was lost.
+
+        Python 3.11's ``asyncio.wait_for`` drops a cancel that lands as its
+        inner call completes; the heartbeat and stream loops therefore also
+        stop on their own once the supervisor is draining.
+        """
+        from repro.server.supervisor import WorkerHandle
+
+        async def scenario():
+            supervisor = Supervisor(workers=1, cache_dir=str(tmp_path))
+            handle = WorkerHandle(worker_id="w0", port=1)  # nothing listens
+            heartbeat = asyncio.ensure_future(supervisor._heartbeat_loop())
+            pump = asyncio.ensure_future(supervisor._stream_pump(handle))
+            await asyncio.sleep(0.2)
+            supervisor.draining = True
+            await asyncio.wait_for(asyncio.gather(heartbeat, pump), 10)
+
+        run(scenario())
